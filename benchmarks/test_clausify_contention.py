@@ -1,15 +1,15 @@
 """Clause-cache probe contention microbench.
 
 :func:`repro.smt.clausify.clausify_probe` is on the translate hot path
-of every solver check, and under ``--jobs`` / question-granularity
-sharding many threads hammer it concurrently. The probe takes the cache
-lock exactly once on the hit path (probe, LRU bump, and counter update
-under the same guard) and resolves racing duplicate computations
-first-insert-wins — this bench pins both properties under load and
-records hit-path throughput in ``BENCH_ANALYSIS.json`` (key
-``clausify_contention``) so a future locking regression (say,
-re-splitting the hit path into a read lock plus an update lock) shows
-up as a throughput cliff in the PR-over-PR trajectory.
+of every solver check, and under ``--jobs`` many threads hammer it
+concurrently. The probe takes the cache lock exactly once on the hit
+path (probe, LRU bump, and counter update under the same guard) and
+resolves racing duplicate computations first-insert-wins — this bench
+pins both properties under load and records hit-path throughput in
+``BENCH_ANALYSIS.json`` (key ``clausify_contention``) so a future
+locking regression (say, re-splitting the hit path into a read lock
+plus an update lock) shows up as a throughput cliff in the PR-over-PR
+trajectory.
 
 There is deliberately **no** multi-thread speedup bar: the probes are
 pure-Python and GIL-bound, so extra threads add contention, never

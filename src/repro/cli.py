@@ -25,7 +25,7 @@ import argparse
 import json
 import logging
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import (STRATEGIES, differentiate, differentiate_tangent,
                format_procedure)
@@ -53,16 +53,24 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
                         "procedure, or the first one)")
 
 
-def _load(args) -> "Procedure":
-    with open(args.file) as fh:
-        program = parse_program(fh.read())
+def _load(args) -> Tuple["Procedure", str]:
+    """Read and parse ``args.file`` once: the selected procedure plus
+    the exact text it was parsed from (the journal/cache fingerprint
+    and the shard workers' ``source`` must describe that same text)."""
+    try:
+        with open(args.file) as fh:
+            source = fh.read()
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {args.file}: "
+                         f"{exc.strerror or exc}")
+    program = parse_program(source)
     procs = list(program)
     if not procs:
         raise SystemExit("no procedures found")
     if args.head is None:
-        return procs[0]
+        return procs[0], source
     try:
-        return program[args.head]
+        return program[args.head], source
     except KeyError:
         names = ", ".join(p.name for p in procs)
         raise SystemExit(f"no procedure {args.head!r}; available: {names}")
@@ -151,12 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "off a work queue — docs/SCALING.md), or 'auto' "
                         "(process when there are enough loops and CPUs "
                         "to amortize the pool, thread otherwise)")
-    p.add_argument("--shard-unit", choices=("loop", "question"),
-                   default="loop",
-                   help="granularity of --backend process shards: whole "
-                        "loops (default) or individual testVar questions "
-                        "fanned across the worker pool with loop "
-                        "knowledge contexts kept warm (docs/SCALING.md)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist decided SAT/UNSAT answers and clean "
                         "settled loops across runs (schema repro-cache/1, "
@@ -194,13 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retry timed-out/budget-exhausted questions up "
                         "to N times with exponentially enlarged budgets "
                         "(default 1 = no retries)")
-    p.add_argument("--isolate", action="store_true",
-                   help="analyze each parallel loop in its own worker "
-                        "subprocess; a crashed or hung worker degrades "
-                        "that loop instead of failing the run")
     p.add_argument("--kill-timeout", type=float, default=60.0, metavar="S",
-                   help="hard wall-clock cap per --isolate worker "
-                        "before SIGKILL (default 60)")
+                   help="hard wall-clock cap per shard request of "
+                        "--backend process before SIGKILL (default 60)")
     p.add_argument("--journal", default=None, metavar="OUT.jsonl",
                    help="append every settled verdict to a crash-safe "
                         "journal (schema repro-journal/1)")
@@ -671,10 +669,10 @@ def _run_corpus(args) -> int:
     return 1 if any(r.reproduced for r in results) else 0
 
 
-def _run_analyze(args, proc, independents, dependents) -> int:
+def _run_analyze(args, proc, source, independents, dependents) -> int:
     """The ``analyze`` command, including the resilience runtime
-    (docs/RESILIENCE.md): deadline, escalation, isolation, journal,
-    resume, and ``--strict``."""
+    (docs/RESILIENCE.md): deadline, escalation, subprocess containment,
+    journal, resume, and ``--strict``."""
     import os
 
     from .analysis import ActivityAnalysis
@@ -683,7 +681,8 @@ def _run_analyze(args, proc, independents, dependents) -> int:
                              JournalWriter, ResumeState, journal_fingerprint)
 
     if args.connect:
-        return _run_analyze_connected(args, proc, independents, dependents)
+        return _run_analyze_connected(args, proc, source, independents,
+                                      dependents)
     escalation = None
     if args.escalate and args.escalate > 1:
         escalation = EscalationPolicy(max_attempts=args.escalate)
@@ -693,8 +692,6 @@ def _run_analyze(args, proc, independents, dependents) -> int:
                           deadline=_deadline_of(args),
                           question_timeout=args.question_timeout,
                           escalation=escalation)
-    with open(args.file) as fh:
-        source = fh.read()
     fingerprint = journal_fingerprint(source, proc.name, independents,
                                       dependents, engine.fingerprint_flags())
     resume = None
@@ -728,24 +725,9 @@ def _run_analyze(args, proc, independents, dependents) -> int:
             return 1
     backend = args.backend
     if backend == "auto":
-        # --isolate is its own process runtime; auto defers to it.
-        if args.isolate:
-            backend = "thread"
-        else:
-            from .resilience import resolve_backend
-            loops = list(proc.parallel_loops())
-            if args.shard_unit == "question":
-                work = sum(len(engine.question_schedule(loop))
-                           for loop in loops)
-            else:
-                work = len(loops)
-            backend = resolve_backend("auto", work_items=work)
-    if args.isolate and backend == "process":
-        print("error: --isolate and --backend process are both process "
-              "runtimes; pick one (--isolate = one short-lived worker "
-              "per loop, --backend process = a persistent shard pool)",
-              file=sys.stderr)
-        return 1
+        from .resilience import resolve_backend
+        backend = resolve_backend(
+            "auto", work_items=len(list(proc.parallel_loops())))
     cache = None
     if args.cache_dir:
         from .resilience import VerdictCache
@@ -757,32 +739,21 @@ def _run_analyze(args, proc, independents, dependents) -> int:
             return 1
     engine.attach_run_state(journal=journal, resume=resume, cache=cache)
     outcomes = None
-    shard_outcomes = None
     heartbeat = None
     if args.progress is not None:
         heartbeat = _start_heartbeat(tracer, args.progress)
     try:
-        if args.isolate:
-            from .resilience import IsolationConfig, analyze_isolated
-            config = IsolationConfig(kill_timeout=args.kill_timeout)
-            analyses, outcomes = analyze_isolated(
-                engine, source, proc.name, independents, dependents,
-                config=config, journal_path=args.journal,
-                resume_path=args.resume)
-        elif backend == "process":
-            from .resilience import (ShardConfig, analyze_question_sharded,
-                                     analyze_sharded)
+        if backend == "process":
+            from .resilience import ShardConfig, analyze_sharded
             config = ShardConfig(jobs=args.jobs or 1,
                                  kill_timeout=args.kill_timeout)
-            sharder = (analyze_question_sharded
-                       if args.shard_unit == "question" else analyze_sharded)
-            analyses, shard_outcomes = sharder(
+            analyses, shard_outcomes = analyze_sharded(
                 engine, source, proc.name, independents, dependents,
                 config=config, resume_path=args.resume,
                 cache_dir=args.cache_dir, fingerprint=fingerprint)
-            # Unlike --isolate, the shard outcomes only enter the JSON
-            # document when something actually went wrong — an all-ok
-            # process run stays byte-identical to the thread backend.
+            # The shard outcomes only enter the JSON document when
+            # something actually went wrong — an all-ok process run
+            # stays byte-identical to the thread backend.
             if any(o.status not in ("ok", "resumed", "cached")
                    for o in shard_outcomes):
                 outcomes = shard_outcomes
@@ -897,7 +868,8 @@ def _finish_analyze(args, proc, analyses, outcomes=None,
     return 0
 
 
-def _run_analyze_connected(args, proc, independents, dependents) -> int:
+def _run_analyze_connected(args, proc, source, independents,
+                           dependents) -> int:
     """``analyze --connect ADDR``: ship the analysis to a running
     ``repro serve`` daemon. Runtime flags that configure the
     *in-process* engine are rejected — the daemon owns its runtime."""
@@ -906,7 +878,6 @@ def _run_analyze_connected(args, proc, independents, dependents) -> int:
     from .serve import ServeError, analyze_connected
 
     rejected = [name for name, live in (
-        ("--isolate", args.isolate),
         ("--journal", args.journal),
         ("--resume", args.resume),
         ("--cache-dir", args.cache_dir),
@@ -915,7 +886,6 @@ def _run_analyze_connected(args, proc, independents, dependents) -> int:
         ("--progress", args.progress is not None),
         ("--jobs", args.jobs),
         ("--backend", args.backend != "thread"),
-        ("--shard-unit", args.shard_unit != "loop"),
     ) if live]
     if rejected:
         print(f"error: --connect sends the analysis to the daemon; "
@@ -926,8 +896,6 @@ def _run_analyze_connected(args, proc, independents, dependents) -> int:
     # Never run locally: provides the loop keys the reply is matched
     # against and the fingerprint flags the daemon keys the memo on.
     engine = FormADEngine(proc, activity)
-    with open(args.file) as fh:
-        source = fh.read()
     try:
         analyses = analyze_connected(
             engine, source, proc.name, independents, dependents,
@@ -1054,11 +1022,12 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
             tracer.close()
         return 0
     try:
-        proc = _load(args)
+        proc, source = _load(args)
         independents = _names(args.independents)
         dependents = _names(args.dependents)
         if args.command == "analyze":
-            return _run_analyze(args, proc, independents, dependents)
+            return _run_analyze(args, proc, source, independents,
+                                dependents)
         if args.command == "differentiate":
             result = differentiate(proc, independents, dependents,
                                    strategy=args.strategy,

@@ -64,8 +64,7 @@ class Ackermannizer:
       rewritten formulas (and therefore every SAT witness the engine
       reports) are a deterministic function of the live assertion
       prefix plus the question — independent of which other questions
-      were asked in between. Question-granularity sharding relies on
-      this for byte-identical ``--json`` output.
+      were asked in between.
     * Instantiated congruence axioms are cached by
       ``(app_a, app_b, var_a, var_b)`` for the lifetime of the
       instance, so the push/ask/pop cycle of exploitation questions

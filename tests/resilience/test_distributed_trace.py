@@ -28,8 +28,7 @@ from repro.formad import FormADEngine
 from repro.ir import parse_program
 from repro.obs import CollectingTracer, validate_events
 from repro.obs.metrics import METRICS_SCHEMA_V2
-from repro.resilience import (ShardConfig, analyze_question_sharded,
-                              analyze_sharded)
+from repro.resilience import ShardConfig, analyze_sharded
 
 SAFE_TWO_LOOPS = """
 subroutine two(x, y, z, n)
@@ -62,11 +61,11 @@ def _engine(proc, tracer):
     return FormADEngine(proc, activity, tracer=tracer)
 
 
-def _traced_sharded(sharder, *, jobs=2, extra_env=None):
+def _traced_sharded(*, jobs=2, extra_env=None):
     proc = parse_program(SAFE_TWO_LOOPS)["two"]
     tracer = CollectingTracer()
     engine = _engine(proc, tracer)
-    analyses, outcomes = sharder(
+    analyses, outcomes = analyze_sharded(
         engine, SAFE_TWO_LOOPS, "two", ["x"], ["y", "z"],
         config=ShardConfig(jobs=jobs, extra_env=extra_env))
     tracer.close()
@@ -84,7 +83,7 @@ def _multiset(events):
 
 class TestMergedTrace:
     def test_process_trace_validates_and_tags_every_worker_event(self):
-        events, analyses, outcomes = _traced_sharded(analyze_sharded)
+        events, analyses, outcomes = _traced_sharded()
         assert [o.status for o in outcomes] == ["ok", "ok"]
         assert validate_events(events) == []
 
@@ -101,7 +100,7 @@ class TestMergedTrace:
                    and e["name"] == "shard.request" for e in events)
 
     def test_scheduler_and_solver_metrics_in_the_final_snapshot(self):
-        events, _, _ = _traced_sharded(analyze_sharded)
+        events, _, _ = _traced_sharded()
         metrics = events[-1]
         assert metrics["type"] == "metrics"
         assert metrics["schema"] == METRICS_SCHEMA_V2
@@ -122,7 +121,7 @@ class TestMergedTrace:
         """The clock-normalization monotonicity guarantee: a re-emitted
         worker event's ``t`` never escapes the shard.request span that
         carried it."""
-        events, _, _ = _traced_sharded(analyze_sharded)
+        events, _, _ = _traced_sharded()
         begins = {e["id"]: e for e in events if e["type"] == "span_begin"}
         ends = {e["id"]: e for e in events if e["type"] == "span_end"}
         checked = 0
@@ -138,7 +137,7 @@ class TestMergedTrace:
         assert checked > 0, "no worker event was re-emitted under a span"
 
     def test_worker_events_under_spans_are_time_ordered(self):
-        events, _, _ = _traced_sharded(analyze_sharded, jobs=1)
+        events, _, _ = _traced_sharded(jobs=1)
         per_span = {}
         for event in events:
             if "worker_id" in event and event.get("span") is not None:
@@ -156,26 +155,15 @@ class TestBackendIdentity:
         _engine(proc, thread_tracer).analyze_all()
         thread_tracer.close()
 
-        process_events, _, _ = _traced_sharded(analyze_sharded)
+        process_events, _, _ = _traced_sharded()
         assert _multiset(thread_tracer.events) \
             == _multiset(process_events)
-
-    def test_question_sharded_trace_validates_too(self):
-        events, analyses, outcomes = _traced_sharded(
-            analyze_question_sharded)
-        assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert validate_events(events) == []
-        assert any("worker_id" in e for e in events)
-        counters = events[-1]["counters"]
-        assert counters["scheduler.dispatched"] >= 1
-        assert any(name.startswith("worker.") and
-                   name.endswith(".busy_seconds") for name in counters)
 
 
 class TestTelemetryLoss:
     def test_dead_worker_is_counted_not_silently_dropped(self):
         events, analyses, outcomes = _traced_sharded(
-            analyze_sharded, jobs=1,
+            jobs=1,
             extra_env={"REPRO_WORKER_FAULT": "exit:3@0:i"})
         assert [o.status for o in outcomes] == ["crash", "ok"]
         assert validate_events(events) == []
@@ -184,6 +172,6 @@ class TestTelemetryLoss:
         assert counters.get("scheduler.respawns", 0) >= 1
 
     def test_healthy_run_drops_nothing(self):
-        events, _, _ = _traced_sharded(analyze_sharded)
+        events, _, _ = _traced_sharded()
         counters = events[-1]["counters"]
         assert "telemetry.dropped_events" not in counters

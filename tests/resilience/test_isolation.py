@@ -1,10 +1,16 @@
-"""Worker isolation: identity with inline, fault containment, and the
-kill -9 + --resume smoke test over the CLI.
+"""Subprocess containment (``--backend process --jobs 1``): identity
+with inline, fault containment, and the kill -9 + --resume smoke test
+over the CLI.
 
 The fault-independence contract: a crashed, hung, or killed worker
 degrades exactly its own loop (safeguards everywhere, planned question
 counts preserved), and a SIGKILLed *run* resumes from the journal to
 reproduce the uninterrupted verdicts and counts.
+
+One worker serves every loop here, so these cases pin the paths the
+multi-worker tests in test_shards.py do not: a warm worker carrying its
+caches from one loop into the next, a fault on the last loop, and a
+respawn after a fault on the first.
 """
 
 import json
@@ -19,7 +25,7 @@ import pytest
 from repro.analysis.activity import ActivityAnalysis
 from repro.formad import FormADEngine
 from repro.ir import parse_program
-from repro.resilience import (IsolationConfig, ResumeState, analyze_isolated,
+from repro.resilience import (ResumeState, ShardConfig, analyze_sharded,
                               read_journal)
 
 #: Both loops are all-safe (each adjoint hits only its own slot), so
@@ -54,22 +60,21 @@ def _engine(proc):
     return FormADEngine(proc, activity)
 
 
-def _isolated(proc, **config_kwargs):
+def _contained(proc, **config_kwargs):
     engine = _engine(proc)
-    return analyze_isolated(engine, SAFE_TWO_LOOPS, "two", ["x"],
-                            ["y", "z"],
-                            config=IsolationConfig(**config_kwargs))
+    return analyze_sharded(engine, SAFE_TWO_LOOPS, "two", ["x"], ["y", "z"],
+                           config=ShardConfig(jobs=1, **config_kwargs))
 
 
 class TestIsolationIdentity:
     def test_isolate_matches_inline(self):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         inline = _engine(proc).analyze_all()
-        isolated, outcomes = _isolated(proc)
+        contained, outcomes = _contained(proc)
 
         assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert len(isolated) == len(inline) == 2
-        for worker, local in zip(isolated, inline):
+        assert len(contained) == len(inline) == 2
+        for worker, local in zip(contained, inline):
             assert not worker.degraded
             assert {n: v.safe for n, v in worker.verdicts.items()} \
                 == {n: v.safe for n, v in local.verdicts.items()}
@@ -84,12 +89,12 @@ class TestFaultContainment:
     def test_worker_crash_degrades_only_that_loop(self):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         inline = _engine(proc).analyze_all()
-        isolated, outcomes = _isolated(
+        contained, outcomes = _contained(
             proc, extra_env={"REPRO_WORKER_FAULT": "exit:3@1:j"})
 
         assert [o.status for o in outcomes] == ["ok", "crash"]
         assert "status 3" in outcomes[1].detail
-        healthy, degraded = isolated
+        healthy, degraded = contained
         assert not healthy.degraded
         assert {n: v.safe for n, v in healthy.verdicts.items()} \
             == {n: v.safe for n, v in inline[0].verdicts.items()}
@@ -103,32 +108,36 @@ class TestFaultContainment:
 
     def test_worker_exception_is_contained(self):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
-        isolated, outcomes = _isolated(
+        contained, outcomes = _contained(
             proc, extra_env={"REPRO_WORKER_FAULT": "raise@0:i"})
         assert outcomes[0].status == "crash"
         assert "injected worker fault" in outcomes[0].detail
-        assert isolated[0].degraded
+        assert contained[0].degraded
         assert outcomes[1].status == "ok"
-        assert not isolated[1].degraded
+        assert not contained[1].degraded
 
     def test_hung_worker_is_killed_and_degraded(self):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         start = time.monotonic()
-        isolated, outcomes = _isolated(
+        contained, outcomes = _contained(
             proc, kill_timeout=1.5,
             extra_env={"REPRO_WORKER_FAULT": "hang:30@0:i"})
         assert time.monotonic() - start < 20.0
         assert outcomes[0].status == "timeout"
         assert "kill timeout" in outcomes[0].detail
-        assert isolated[0].degraded
-        assert isolated[0].safe_arrays() == set()
+        assert contained[0].degraded
+        assert contained[0].safe_arrays() == set()
         assert outcomes[1].status == "ok"
-        assert not isolated[1].degraded
+        assert not contained[1].degraded
+
+
+#: The CLI's subprocess-containment mode.
+CONTAINED = ("--backend", "process", "--jobs", "1")
 
 
 def _cli(tmp_path, src_path, *extra, env=None, check=True):
     cmd = [sys.executable, "-m", "repro", "analyze", str(src_path),
-           "-i", "x", "-o", "y,z", "--json", *extra]
+           "-i", "x", "-o", "y,z", "--json", *CONTAINED, *extra]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
                           cwd=str(tmp_path))
     if check:
@@ -160,17 +169,17 @@ class TestKillParentResume:
         src.write_text(SAFE_TWO_LOOPS)
         env = _env()
 
-        baseline = _cli(tmp_path, src, "--isolate", env=env)
+        baseline = _cli(tmp_path, src, env=env)
         base_doc = json.loads(baseline.stdout)
 
-        # interrupted run: loop 1:j's worker hangs; the parent would
-        # wait out the generous kill timeout, but we SIGKILL the whole
-        # group as soon as loop 0:i's verdicts are durable
+        # interrupted run: the worker hangs on loop 1:j; the parent
+        # would wait out the generous kill timeout, but we SIGKILL the
+        # whole group as soon as loop 0:i's verdicts are durable
         journal = tmp_path / "run.jsonl"
         hang_env = dict(env, REPRO_WORKER_FAULT="hang:120@1:j")
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro", "analyze", str(src),
-             "-i", "x", "-o", "y,z", "--json", "--isolate",
+             "-i", "x", "-o", "y,z", "--json", *CONTAINED,
              "--kill-timeout", "120", "--journal", str(journal)],
             cwd=str(tmp_path), env=hang_env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -195,8 +204,7 @@ class TestKillParentResume:
         assert state.loop_done("0:i") is not None
         assert state.loop_done("1:j") is None
 
-        resumed = _cli(tmp_path, src, "--isolate",
-                       "--journal", str(journal),
+        resumed = _cli(tmp_path, src, "--journal", str(journal),
                        "--resume", str(journal), env=env)
         doc = json.loads(resumed.stdout)
 
@@ -207,15 +215,16 @@ class TestKillParentResume:
             assert doc["totals"][key] == base_doc["totals"][key], key
         assert doc["resilience"]["resumed_loops"] == 1
         assert doc["resilience"]["degraded_loops"] == 0
-        statuses = {w["loop"]: w["status"] for w in doc["workers"]}
-        assert statuses == {"0:i": "resumed", "1:j": "ok"}
+        assert [entry.get("resumed", False) for entry in doc["loops"]] \
+            == [True, False]
+        # an all-ok process run carries no per-worker outcomes
+        assert "workers" not in doc
 
     def test_strict_flags_degraded_runs(self, tmp_path):
         src = tmp_path / "two.f"
         src.write_text(SAFE_TWO_LOOPS)
         env = dict(_env(), REPRO_WORKER_FAULT="exit:3@1:j")
-        proc = _cli(tmp_path, src, "--isolate", "--strict", env=env,
-                    check=False)
+        proc = _cli(tmp_path, src, "--strict", env=env, check=False)
         assert proc.returncode == 3
         doc = json.loads(proc.stdout)
         assert doc["resilience"]["degraded_loops"] == 1

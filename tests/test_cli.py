@@ -1,5 +1,9 @@
 """Tests for the command-line front end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -94,6 +98,48 @@ class TestParseErrors:
         path.write_text("subroutine oops(\n")
         assert main(["analyze", str(path), "-i", "x", "-o", "y"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["analyze", "differentiate",
+                                         "tangent"])
+    def test_missing_file_is_a_one_line_error(self, tmp_path, command):
+        missing = str(tmp_path / "missing.f90")
+        with pytest.raises(SystemExit) as exc:
+            main([command, missing, "-i", "x", "-o", "y"])
+        assert str(exc.value) == (f"error: cannot read {missing}: "
+                                  f"No such file or directory")
+
+    def test_missing_file_exits_1_without_traceback(self, tmp_path):
+        src_root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src_root))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze",
+             str(tmp_path / "missing.f90"), "-i", "x", "-o", "y"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot read ")
+        assert "Traceback" not in proc.stderr
+
+    def test_input_is_read_once(self, src_file, tmp_path, monkeypatch):
+        # The journal fingerprint and the shard workers' source must
+        # describe the text that was parsed, so nothing re-reads the
+        # file after parsing (it may have changed meanwhile).
+        import builtins
+
+        real_open = builtins.open
+        reads = []
+
+        def counting_open(path, *args, **kwargs):
+            if str(path) == src_file:
+                reads.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["analyze", src_file, "-i", "x", "-o", "y",
+                     "--journal", str(tmp_path / "run.jsonl")]) == 0
+        assert len(reads) == 1
 
 
 class TestAnalyzeStrategy:
