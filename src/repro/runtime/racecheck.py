@@ -63,6 +63,7 @@ class RaceDetector(Tracer):
         self._locations: Dict[Tuple[str, int], _LocationLog] = {}
         self._scalar_writes: Dict[str, int] = {}
         self._private: frozenset = frozenset()
+        self._atomic_target: Optional[Tuple[str, int]] = None
 
     @property
     def race_free(self) -> bool:
@@ -105,7 +106,7 @@ class RaceDetector(Tracer):
     def on_read(self, array: str, flat: int, ref=None) -> None:
         if self._iteration is None or self._loop is None:
             return
-        if getattr(self, "_atomic_target", None) == (array, flat):
+        if self._atomic_target == (array, flat):
             return  # the load half of an atomic read-modify-write
         log = self._locations.setdefault((array, flat), _LocationLog())
         it = self._iteration

@@ -81,6 +81,52 @@ end subroutine bad
             run_procedure(proc, {"x": 0.0})
 
 
+class TestDivisionAndMod:
+    MOD = """
+subroutine m(n, d, r)
+  integer, intent(in) :: n
+  integer, intent(in) :: d
+  integer, intent(out) :: r
+  r = mod(n, d)
+end subroutine m
+"""
+    DIV = """
+subroutine q(a, b, c)
+  {kind}, intent(in) :: a
+  {kind}, intent(in) :: b
+  {kind}, intent(out) :: c
+  c = a / b
+end subroutine q
+"""
+
+    def test_integer_mod_is_exact_beyond_double_precision(self):
+        mem = run_procedure(parse_procedure(self.MOD), {"n": 2**62 + 1, "d": 3})
+        r = mem.get_scalar("r")
+        assert r == 2 and isinstance(r, int)
+
+    @pytest.mark.parametrize("n, d, want", [(7, 3, 1), (-7, 3, -1),
+                                            (7, -3, 1), (-7, -3, -1)])
+    def test_integer_mod_truncates_toward_zero(self, n, d, want):
+        mem = run_procedure(parse_procedure(self.MOD), {"n": n, "d": d})
+        assert mem.get_scalar("r") == want
+
+    def test_integer_mod_by_zero(self):
+        with pytest.raises(InterpreterError, match=r"mod\(5, 0\)"):
+            run_procedure(parse_procedure(self.MOD), {"n": 5, "d": 0})
+
+    def test_real_mod_by_zero(self):
+        src = self.MOD.replace("integer, intent(in) :: n", "real, intent(in) :: n")
+        with pytest.raises(InterpreterError, match="mod"):
+            run_procedure(parse_procedure(src), {"n": 5.0, "d": 0})
+
+    @pytest.mark.parametrize("kind, a, b", [("integer", 7, 0),
+                                            ("real", 7.0, 0.0)])
+    def test_division_by_zero(self, kind, a, b):
+        proc = parse_procedure(self.DIV.format(kind=kind))
+        with pytest.raises(InterpreterError, match="/"):
+            run_procedure(proc, {"a": a, "b": b})
+
+
 class TestTapeContract:
     def test_double_pop(self):
         b = ProcedureBuilder("p")
