@@ -212,11 +212,14 @@ def _backend_source(loops: int = BACKEND_LOOPS,
     return "\n".join(lines) + "\n"
 
 
-def _backend_thread(source: str, outs):
+def _backend_engine(source: str, outs) -> FormADEngine:
     from repro.ir import parse_program
     proc = parse_program(source)["shardbench"]
-    activity = ActivityAnalysis(proc, ["uold"], outs)
-    engine = FormADEngine(proc, activity)
+    return FormADEngine(proc, ActivityAnalysis(proc, ["uold"], outs))
+
+
+def _backend_thread(source: str, outs):
+    engine = _backend_engine(source, outs)
     clausify_cache_clear()
     start = time.perf_counter()
     analyses = engine.analyze_all(jobs=BACKEND_JOBS)
@@ -224,12 +227,12 @@ def _backend_thread(source: str, outs):
 
 
 def _backend_process(source: str, outs):
-    from repro.resilience import ShardConfig, analyze_program_remote
+    from repro.resilience import ShardConfig, analyze_sharded
+    engine = _backend_engine(source, outs)
     clausify_cache_clear()
     start = time.perf_counter()
-    analyses = analyze_program_remote(
-        source, "shardbench", ["uold"], outs,
-        config=ShardConfig(jobs=BACKEND_JOBS))
+    analyses, _ = analyze_sharded(engine, source, "shardbench", ["uold"],
+                                  outs, config=ShardConfig(jobs=BACKEND_JOBS))
     return analyses, time.perf_counter() - start
 
 

@@ -157,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "GIL-bound, byte-identical output), 'process' "
                         "(persistent worker processes pulling shards "
                         "off a work queue — docs/SCALING.md), or 'auto' "
-                        "(process when there are enough loops and CPUs "
-                        "to amortize the pool, thread otherwise)")
+                        "(process when --jobs is above 1 and there are "
+                        "enough loops and CPUs to amortize the pool, "
+                        "thread otherwise)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist decided SAT/UNSAT answers and clean "
                         "settled loops across runs (schema repro-cache/1, "
@@ -288,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="fan independent kernels and program versions out "
                         "over N worker threads")
-    p.add_argument("--backend", choices=("thread", "process", "auto"),
-                   default="auto",
-                   help="run the Table-1 analyses in-process ('thread') "
-                        "or in per-problem worker processes ('process'); "
-                        "'auto' (default) picks process when the host has "
-                        "more than one CPU and thread otherwise")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the analysis/simulation event stream")
     p.add_argument("--deadline", type=float, default=None, metavar="S",
@@ -727,7 +722,8 @@ def _run_analyze(args, proc, source, independents, dependents) -> int:
     if backend == "auto":
         from .resilience import resolve_backend
         backend = resolve_backend(
-            "auto", work_items=len(list(proc.parallel_loops())))
+            "auto", jobs=args.jobs,
+            work_items=len(list(proc.parallel_loops())))
     cache = None
     if args.cache_dir:
         from .resilience import VerdictCache
@@ -1016,8 +1012,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         tracer = _open_tracer(args.trace)
         try:
             experiments_main(jobs=args.jobs, tracer=tracer,
-                             deadline=_deadline_of(args),
-                             backend=args.backend)
+                             deadline=_deadline_of(args))
         finally:
             tracer.close()
         return 0

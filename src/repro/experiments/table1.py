@@ -28,39 +28,19 @@ TABLE1_PROBLEMS = {
 
 def run_table1(jobs: Optional[int] = None,
                tracer: NullTracer = NULL_TRACER,
-               deadline=None,
-               backend: str = "thread") -> List[AnalysisReport]:
-    """Run FormAD on all six Table-1 problems.
+               deadline=None) -> List[AnalysisReport]:
+    """Run FormAD on all six Table-1 problems, in this process.
 
     ``jobs`` > 1 fans the independent problems out over a thread pool
     (each problem builds its own procedure and engine, so the analyses
     share no mutable state). Report order is fixed either way.
     ``deadline`` (a :class:`repro.resilience.Deadline`) bounds the
     whole sweep: expired problems degrade to safeguards (UNKNOWN
-    verdicts) instead of running over. ``backend="process"`` analyzes
-    each problem in its own persistent worker process (the pool
-    threads then only marshal JSON and wait on pipes, so ``jobs``
-    problems really run concurrently — docs/SCALING.md).
-    ``backend="auto"`` resolves to ``process`` on multi-CPU hosts and
-    ``thread`` otherwise (:func:`repro.resilience.resolve_backend`).
+    verdicts) instead of running over.
     """
-    if backend == "auto":
-        from ..resilience.shards import resolve_backend
-        backend = resolve_backend("auto", work_items=len(TABLE1_PROBLEMS))
 
     def one(item) -> AnalysisReport:
         name, (builder, independents, dependents) = item
-        if backend == "process":
-            from .. import format_procedure
-            from ..resilience.shards import analyze_program_remote
-            proc = builder()
-            # The printer round-trips faithfully for these kernels
-            # (tests/ir/test_printer.py), so the rendered source is
-            # the same analysis input the in-process path sees.
-            return AnalysisReport(
-                name, analyze_program_remote(
-                    format_procedure(proc), proc.name, independents,
-                    dependents, tracer=tracer, deadline=deadline))
         return AnalysisReport(
             name, analyze_formad(builder(), independents, dependents,
                                  tracer=tracer, deadline=deadline))

@@ -48,6 +48,7 @@ from ..ir.stmt import Assign, Loop
 from ..obs.tracer import NULL_TRACER, NullTracer
 from ..resilience.deadline import Deadline, per_question
 from ..resilience.escalate import NO_ESCALATION, EscalationPolicy
+from ..resilience.journal import encode_loop, rebuild_analysis, write_loop
 from ..smt.intsolver import Result
 from ..smt.solver import SAT, UNKNOWN, UNSAT, Solver
 from ..smt.terms import And, FAtom, Formula, Rel, Term, formula_vars
@@ -592,7 +593,6 @@ class FormADEngine:
             # knowledge — the resumed run re-analyzes that loop (its
             # individual SAT/UNSAT question records still replay).
             return None
-        from ..resilience.journal import rebuild_analysis
         analysis = rebuild_analysis(loop, done, self._resume.verdicts(key))
         logger.info("loop over %r: replayed settled verdicts from the "
                     "resume journal", loop.var)
@@ -620,7 +620,6 @@ class FormADEngine:
         done = self._vcache.loop_done(key)
         if done is None or done.get("degraded"):
             return None
-        from ..resilience.journal import rebuild_analysis
         analysis = rebuild_analysis(loop, done, self._vcache.verdicts(key),
                                     resumed=False)
         # The cache stores only clean loops, so the replay *is* settled
@@ -639,30 +638,8 @@ class FormADEngine:
             self._journal_loop(key, analysis)
         return analysis
 
-    def _loop_records(self, key: str, analysis: LoopAnalysis,
-                      ) -> List[Tuple[str, dict]]:
-        """*analysis* as journal-shaped ``(kind, fields)`` records —
-        the shared serialization of the journal, the worker reply
-        channel, and the verdict cache."""
-        records: List[Tuple[str, dict]] = []
-        for verdict in analysis.verdicts.values():
-            records.append(("verdict", {
-                "loop": key, "array": verdict.array, "safe": verdict.safe,
-                "pairs_total": verdict.pairs_total,
-                "pairs_proven": verdict.pairs_proven,
-                "reason": verdict.reason}))
-        stats = {name: getattr(analysis.stats, name)
-                 for name in AnalysisStats.__dataclass_fields__}
-        records.append(("loop_done", {
-            "loop": key, "stats": stats,
-            "safe_writes": list(analysis.safe_write_expressions),
-            "offending": list(analysis.offending_expressions),
-            "degraded": analysis.degraded}))
-        return records
-
     def _journal_loop(self, key: str, analysis: LoopAnalysis) -> None:
-        for kind, fields in self._loop_records(key, analysis):
-            self._journal.record(kind, **fields)
+        write_loop(self._journal, *encode_loop(key, analysis))
 
     def knowledge(self, loop: Loop) -> Tuple[FAtom, KnowledgeBase]:
         """Phase-1 output for *loop*: the root axiom and the knowledge
@@ -702,7 +679,13 @@ class FormADEngine:
         with self.tracer.span("analysis.loop", loop=loop.var, uid=loop.uid):
             return self._analyze_traced(loop)
 
-    def _analyze_traced(self, loop: Loop) -> LoopAnalysis:
+    def _analyze_traced(self, loop: Loop,
+                        degraded: Optional[Tuple[str, str]] = None,
+                        ) -> LoopAnalysis:
+        """Analyze *loop*. ``degraded`` is a ``(phase, reason)`` pair
+        for a loop that must fall back to safeguards without building
+        its knowledge model; buildModel sets it too when the knowledge
+        cannot be established."""
         start = time.perf_counter()
         tracer = self.tracer
         stats = AnalysisStats()
@@ -718,60 +701,48 @@ class FormADEngine:
                             array=fact.source_array,
                             formula=str(fact.formula))
 
-        solver = self._new_solver()
-        by_context: Dict[int, List] = {}
-        for fact in kb.facts:
-            by_context.setdefault(fact.context.uid, []).append(fact)
-        model = _ContextModel(solver, axiom, by_context, stats)
-        degraded: Optional[KnowledgeDegradedError] = None
-        with tracer.span("analysis.build_model", loop=loop.var):
-            try:
-                model.build(refs.contexts.root)
-            except KnowledgeDegradedError as exc:
-                # The knowledge base could not be established (solver
-                # failure/UNKNOWN, not a primal race): every candidate
-                # array keeps its safeguard. Never crash, never share.
-                degraded = exc
+        solver: Optional[Solver] = None
+        model: Optional[_ContextModel] = None
+        # The verdict reason of every array of a degraded loop.
+        fallback = degraded[1] if degraded is not None else ""
+        if degraded is None:
+            solver = self._new_solver()
+            by_context: Dict[int, List] = {}
+            for fact in kb.facts:
+                by_context.setdefault(fact.context.uid, []).append(fact)
+            model = _ContextModel(solver, axiom, by_context, stats)
+            with tracer.span("analysis.build_model", loop=loop.var):
+                try:
+                    model.build(refs.contexts.root)
+                except KnowledgeDegradedError as exc:
+                    # The knowledge base could not be established
+                    # (solver failure/UNKNOWN, not a primal race): every
+                    # candidate array keeps its safeguard. Never crash,
+                    # never share.
+                    model = None
+                    degraded = ("build_model", str(exc))
+                    fallback = f"knowledge degraded: {exc}"
+                    logger.warning("loop over %r: knowledge degraded (%s); "
+                                   "all candidate arrays keep their "
+                                   "safeguards", loop.var, exc)
+        if degraded is not None and tracer.enabled:
+            tracer.emit("degraded", loop=loop.var, phase=degraded[0],
+                        reason=degraded[1])
 
         verdicts: Dict[str, ArrayVerdict] = {}
-        safe_writes: List[str] = []
         offending: List[str] = []
         memo: Optional[Dict[Tuple[int, Formula],
                             Tuple[Result, Optional[Dict[str, int]]]]] = (
-            {} if self.use_question_memo else None)
-        # Paper Table 1: "number of unique index expressions included in
-        # the model" — the knowledge side (LBM: the 19 safe write
-        # expressions), not the question expressions.
-        unique_exprs: Set[str] = set()
-        for fact in kb.facts:
-            unique_exprs.add(_render_tuple(fact.right))
-
-        if degraded is not None:
-            logger.warning("loop over %r: knowledge degraded (%s); all "
-                           "candidate arrays keep their safeguards",
-                           loop.var, degraded)
-            if tracer.enabled:
-                tracer.emit("degraded", loop=loop.var, phase="build_model",
-                            reason=str(degraded))
-
+            {} if self.use_question_memo and model is not None else None)
         # Loop health, for the verdict cache's cleanliness rule: any
         # contained solver failure or cache-replayed answer makes the
         # loop's counters non-canonical, so it must not be stored.
         health = {"failures": 0, "cached": 0}
         for array in self._candidate_arrays(refs):
-            if degraded is not None:
-                # Count the questions this array *would* have asked
-                # (without solving) so Table-1 totals stay independent
-                # of where a fault struck, then keep every safeguard.
-                verdict = self._degraded_verdict(
-                    loop, array, refs, translator, stats,
-                    f"knowledge degraded: {degraded}")
-            else:
-                with tracer.span("analysis.array", loop=loop.var,
-                                 array=array):
-                    verdict = self._test_array(
-                        loop, array, refs, translator, model, memo, stats,
-                        offending, health)
+            with tracer.span("analysis.array", loop=loop.var, array=array):
+                verdict = self._test_array(
+                    loop, array, refs, translator, model, memo, stats,
+                    offending, health, fallback)
             verdicts[array] = verdict
             logger.debug("loop over %r: %s", loop.var, verdict)
             if tracer.enabled:
@@ -781,18 +752,16 @@ class FormADEngine:
                             pairs_proven=verdict.pairs_proven,
                             reason=verdict.reason)
 
-        # The paper's LBM listing: the set of known-safe write
-        # expressions extracted from the primal.
-        seen: Set[str] = set()
-        for fact in kb.facts:
-            r = _render_tuple(fact.right)
-            if r not in seen:
-                seen.add(r)
-                safe_writes.append(r)
-
-        stats.unique_exprs = len(unique_exprs)
+        # The paper's LBM listing: the known-safe write expressions
+        # extracted from the primal. Their number is Table 1's "unique
+        # index expressions included in the model" — the knowledge
+        # side (LBM: 19), not the question expressions.
+        safe_writes = list(dict.fromkeys(_render_tuple(fact.right)
+                                         for fact in kb.facts))
+        stats.unique_exprs = len(safe_writes)
         stats.region_loc = max(0, len(format_stmt(loop)) - 2)
-        stats.absorb_solver(solver)
+        if solver is not None:
+            stats.absorb_solver(solver)
         stats.time_seconds = time.perf_counter() - start
         logger.info(
             "analyzed loop over %r: %d/%d arrays safe, %d queries "
@@ -811,10 +780,7 @@ class FormADEngine:
         if self._journal is not None:
             self._journal_loop(key, analysis)
         if self._vcache is not None and analysis.cacheable:
-            records = self._loop_records(key, analysis)
-            self._vcache.store_loop(
-                key, next(f for k, f in records if k == "loop_done"),
-                [f for k, f in records if k == "verdict"])
+            self._vcache.store_loop(key, *encode_loop(key, analysis))
         return analysis
 
     def _candidate_arrays(self, refs: RegionReferences) -> List[str]:
@@ -975,96 +941,19 @@ class FormADEngine:
                 break
         return result, witness, reason, failure, attempts
 
-    def _degraded_verdict(
-        self,
-        loop: Loop,
-        array: str,
-        refs: RegionReferences,
-        translator: IndexTranslator,
-        stats: AnalysisStats,
-        reason: str,
-    ) -> ArrayVerdict:
-        """The safeguard verdict for one array when the analysis cannot
-        run (knowledge degraded, run deadline expired before phase 2,
-        or a shard worker died). Enumerates and *counts* the
-        exploitation questions the honest analysis would have asked —
-        without solving — so the Table-1 question totals are
-        independent of where a fault struck, and emits the matching
-        provenance records so the trace trail stays complete."""
-        tracer = self.tracer
-        try:
-            writes, reads = self._adjoint_refs(array, refs, translator)
-        except UntranslatableError as exc:
-            return ArrayVerdict(array, False, reason=str(exc))
-        pairs = self._question_pairs(writes, reads)
-        verdict = ArrayVerdict(array, False, pairs_total=len(pairs),
-                               reason=reason)
-        for w, other in pairs:
-            if len(w.plain) != len(other.plain):
-                # Structural, solver-independent early exit — mirrored
-                # from _test_array so the counts line up.
-                verdict.reason = "rank mismatch"
-                break
-            ctx = w.context.common_root(other.context)
-            question = And(*[FAtom(Rel.EQ, lp, r)
-                             for lp, r in zip(w.primed, other.plain)])
-            stats.exploitation_checks += 1
-            if tracer.enabled:
-                tracer.emit("question", loop=loop.var, array=array,
-                            context=ctx.path(), write=w.rendering,
-                            other=other.rendering, question=str(question),
-                            instances=sorted(formula_vars(question)),
-                            result=UNKNOWN.name, memo_hit=False,
-                            dur_s=0.0)
-        return verdict
-
     def degraded_analysis(self, loop: Loop, reason: str, *,
                           phase: str = "worker") -> LoopAnalysis:
         """A complete safeguards-only :class:`LoopAnalysis` for *loop*,
-        produced without touching the solver.
+        produced without building a solver.
 
         The shard scheduler calls this in the parent process when a
         worker crashes, hangs past its kill timeout, or is OOM-killed,
         or when the run deadline expires before the shard is
-        dispatched: the loop's result becomes "every candidate array keeps its
-        safeguard", with the planned question counts so the Table-1
-        totals stay fault-independent.
+        dispatched: the loop's result becomes "every candidate array
+        keeps its safeguard", with the planned question counts so the
+        Table-1 totals stay fault-independent.
         """
-        start = time.perf_counter()
-        tracer = self.tracer
-        stats = AnalysisStats()
-        refs, translator, kb, axiom = self._extract(loop)
-        stats.skipped_pairs = kb.skipped_pairs
-        stats.model_size = 1 + kb.size
-        if tracer.enabled:
-            tracer.emit("degraded", loop=loop.var, phase=phase,
-                        reason=reason)
-        verdicts: Dict[str, ArrayVerdict] = {}
-        for array in self._candidate_arrays(refs):
-            verdict = self._degraded_verdict(loop, array, refs, translator,
-                                             stats, reason)
-            verdicts[array] = verdict
-            if tracer.enabled:
-                tracer.emit("verdict", loop=loop.var, array=array,
-                            safe=verdict.safe,
-                            pairs_total=verdict.pairs_total,
-                            pairs_proven=verdict.pairs_proven,
-                            reason=verdict.reason)
-        safe_writes: List[str] = []
-        seen: Set[str] = set()
-        for fact in kb.facts:
-            r = _render_tuple(fact.right)
-            if r not in seen:
-                seen.add(r)
-                safe_writes.append(r)
-        stats.unique_exprs = len(seen)
-        stats.region_loc = max(0, len(format_stmt(loop)) - 2)
-        stats.time_seconds = time.perf_counter() - start
-        analysis = LoopAnalysis(loop, verdicts, stats, safe_writes, [],
-                                degraded=True)
-        if self._journal is not None:
-            self._journal_loop(self.loop_key(loop), analysis)
-        return analysis
+        return self._analyze_traced(loop, degraded=(phase, reason))
 
     def _test_array(
         self,
@@ -1072,13 +961,19 @@ class FormADEngine:
         array: str,
         refs: RegionReferences,
         translator: IndexTranslator,
-        model: _ContextModel,
+        model: Optional[_ContextModel],
         memo: Optional[Dict[Tuple[int, Formula],
                             Tuple[Result, Optional[Dict[str, int]]]]],
         stats: AnalysisStats,
         offending: List[str],
-        health: Optional[Dict[str, int]] = None,
+        health: Dict[str, int],
+        fallback: str,
     ) -> ArrayVerdict:
+        """testVar for one array. Without a knowledge *model* (a
+        degraded loop) every question is counted and answered UNKNOWN
+        without asking, so the Table-1 question totals are independent
+        of where a fault struck, and the array keeps its safeguard with
+        *fallback* as the reason."""
         tracer = self.tracer
         loop_key = self.loop_key(loop)
         try:
@@ -1086,7 +981,8 @@ class FormADEngine:
         except UntranslatableError as exc:
             return ArrayVerdict(array, False, reason=str(exc))
         pairs = self._question_pairs(writes, reads)
-        verdict = ArrayVerdict(array, True, pairs_total=len(pairs))
+        verdict = ArrayVerdict(array, model is not None,
+                               pairs_total=len(pairs), reason=fallback)
         for w, other in pairs:
             if len(w.plain) != len(other.plain):
                 verdict.safe = False
@@ -1108,6 +1004,8 @@ class FormADEngine:
             if memo_hit:
                 stats.memo_hits += 1
                 result, witness = entry
+            elif model is None:
+                result, witness = UNKNOWN, None
             else:
                 settled = (self._resume.question(loop_key, ctx.path(),
                                                  str(question))
@@ -1131,8 +1029,7 @@ class FormADEngine:
                         result = SAT if hit[0] == "sat" else UNSAT
                         witness = hit[1]
                         cached = True
-                        if health is not None:
-                            health["cached"] += 1
+                        health["cached"] += 1
                     else:
                         asked = time.perf_counter()
                         result, witness, reason, failure, attempts = \
@@ -1140,7 +1037,7 @@ class FormADEngine:
                                                  f"{loop_key}/{array}/"
                                                  f"{question}", array)
                         asked = time.perf_counter() - asked
-                if failure is not None and health is not None:
+                if failure is not None:
                     health["failures"] += 1
                 if memo is not None and failure is None and \
                         not (result is UNKNOWN and reason == "timeout"):

@@ -29,19 +29,18 @@ from .cache import (CACHE_SCHEMA, CacheConflictError, CacheStore,
 from .deadline import Deadline
 from .escalate import EscalationPolicy
 from .journal import (JOURNAL_SCHEMA, JournalError, JournalWriter,
-                      ResumeState, journal_fingerprint, read_journal,
-                      rebuild_analysis)
+                      ResumeState, encode_loop, journal_fingerprint,
+                      read_journal, rebuild_analysis, write_loop)
 from .shards import (ShardConfig, WorkerClient, WorkerGone, WorkerOutcome,
-                     WorkerPool, analyze_program_remote, analyze_sharded,
-                     resolve_backend)
+                     WorkerPool, analyze_sharded, resolve_backend)
 
 __all__ = [
     "CACHE_SCHEMA", "CacheConflictError", "CacheStore", "CacheStoreError",
     "VerdictCache",
     "Deadline", "EscalationPolicy",
     "JOURNAL_SCHEMA", "JournalError", "JournalWriter", "ResumeState",
-    "journal_fingerprint", "read_journal", "rebuild_analysis",
+    "encode_loop", "journal_fingerprint", "read_journal",
+    "rebuild_analysis", "write_loop",
     "ShardConfig", "WorkerClient", "WorkerGone", "WorkerOutcome",
-    "WorkerPool",
-    "analyze_program_remote", "analyze_sharded", "resolve_backend",
+    "WorkerPool", "analyze_sharded", "resolve_backend",
 ]

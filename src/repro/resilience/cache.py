@@ -72,7 +72,8 @@ import logging
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .journal import (JournalWriter, ResumeState, _encode_line, read_journal)
+from .journal import (JournalWriter, ResumeState, _encode_line, read_journal,
+                      write_loop)
 
 try:  # advisory locking is POSIX-only; elsewhere writers go unlocked
     import fcntl
@@ -372,18 +373,11 @@ class VerdictCache:
             return
         if self._state.loop_done(loop_key) is not None:
             return
-        verdict_records = [
-            dict({k: v for k, v in verdict.items() if k != "kind"},
-                 loop=loop_key)
-            for verdict in verdicts]
-        done_record = dict({k: v for k, v in done.items() if k != "kind"},
-                           loop=loop_key)
-        for record in verdict_records:
-            self.record("verdict", **record)
-        self.record("loop_done", **done_record)
-        self._state._loops[loop_key] = dict(done_record, kind="loop_done")
+        done = dict(done, loop=loop_key)
+        write_loop(self, done, verdicts)
+        self._state._loops[loop_key] = dict(done, kind="loop_done")
         self._state._verdicts.setdefault(loop_key, []).extend(
-            verdict_records)
+            dict(verdict, loop=loop_key) for verdict in verdicts)
         self.loop_stores += 1
 
     # ------------------------------------------------------------ summary
@@ -393,13 +387,6 @@ class VerdictCache:
         one-number health signal ``summary_data`` exports as ``hits``
         (and the CLI as the ``cache.hits`` metric counter)."""
         return self.question_hits + self.loop_hits
-
-    def summary(self) -> str:
-        return (f"verdict cache {self.path}: "
-                f"{self.loop_hits} loop hit(s), "
-                f"{self.question_hits} question hit(s), "
-                f"{self.loop_stores} loop(s) and "
-                f"{self.question_stores} question(s) stored")
 
     def summary_data(self) -> dict:
         """The structured end-of-run summary: the ``cache_summary``

@@ -24,9 +24,15 @@ never a process-local uid — uids are not stable across runs):
 Recovery (:func:`read_journal`) keeps every line that parses *and*
 checksums, drops damaged ones, and reports how many were dropped; a
 trailing partial line is additionally truncated before appending so a
-resumed journal stays line-aligned. Rotation (:meth:`JournalWriter.
-rotate`) compacts settled loops into their ``verdict``/``loop_done``
-records via write-temp / fsync / atomic rename.
+resumed journal stays line-aligned.
+
+A settled loop has one encoding: :func:`encode_loop` turns a
+:class:`~repro.formad.engine.LoopAnalysis` into its ``(done,
+verdicts)`` pair, :func:`write_loop` journals that pair as ``verdict``
+records and one ``loop_done`` record, and :func:`rebuild_analysis`
+turns it back into a ``LoopAnalysis``. The journal, the verdict cache,
+the shard workers' replies and the ``repro serve`` reply all carry
+this pair.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import json
 import os
 import threading
 import zlib
+from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 JOURNAL_SCHEMA = "repro-journal/1"
@@ -174,35 +181,6 @@ class JournalWriter:
         with self._lock:
             self._write(dict(fields, kind=kind))
 
-    def rotate(self) -> None:
-        """Compact in place: settled loops keep only their ``verdict``
-        and ``loop_done`` records. Write-temp + fsync + atomic rename,
-        so a crash during rotation leaves the old journal intact."""
-        with self._lock:
-            self._fh.flush()
-            meta, records, _ = read_journal(self.path)
-            done = {r["loop"] for r in records if r.get("kind") == "loop_done"}
-            kept = [r for r in records
-                    if not (r.get("kind") == "question"
-                            and r.get("loop") in done)]
-            tmp = self.path + ".rotate.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                if meta is not None:
-                    fh.write(_encode_line(meta))
-                for record in kept:
-                    fh.write(_encode_line(record))
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh.close()
-            os.replace(tmp, self.path)
-            dirfd = os.open(os.path.dirname(os.path.abspath(self.path)),
-                            os.O_RDONLY)
-            try:
-                os.fsync(dirfd)
-            finally:
-                os.close(dirfd)
-            self._fh = open(self.path, "a", encoding="utf-8")
-
     def close(self) -> None:
         with self._lock:
             if not self._fh.closed:
@@ -280,12 +258,36 @@ class ResumeState:
         return self._questions.get((loop_key, ctx_path, question))
 
 
+def encode_loop(loop_key: str, analysis) -> Tuple[dict, List[dict]]:
+    """A settled :class:`~repro.formad.engine.LoopAnalysis` as ``(done,
+    verdicts)``: the ``loop_done`` record's fields (counters, safe-write
+    and offending expressions, the degraded flag) and one fields dict
+    per array verdict. :func:`rebuild_analysis` is the inverse."""
+    done = {"loop": loop_key, "stats": asdict(analysis.stats),
+            "safe_writes": list(analysis.safe_write_expressions),
+            "offending": list(analysis.offending_expressions),
+            "degraded": analysis.degraded}
+    verdicts = [{"array": v.array, "safe": v.safe,
+                 "pairs_total": v.pairs_total,
+                 "pairs_proven": v.pairs_proven, "reason": v.reason}
+                for v in analysis.verdicts.values()]
+    return done, verdicts
+
+
+def write_loop(writer, done: dict, verdicts: List[dict]) -> None:
+    """Record one settled loop through a journal-writer: its verdict
+    records, then its ``loop_done`` record."""
+    for verdict in verdicts:
+        writer.record("verdict", loop=done["loop"], **verdict)
+    writer.record("loop_done", **done)
+
+
 def rebuild_analysis(loop, done: dict, verdicts: List[dict], *,
                      resumed: bool = True):
     """Reconstruct a :class:`~repro.formad.engine.LoopAnalysis` from a
-    settled loop's journal records (the ``--resume`` fast path, and —
-    with ``resumed=False`` — the result channel of shard workers and
-    the ``repro serve`` daemon, which reuse the same record shapes)."""
+    settled loop's ``(done, verdicts)`` records (the ``--resume`` fast
+    path, and — with ``resumed=False`` — the verdict cache and the
+    result channel of shard workers and the ``repro serve`` daemon)."""
     from ..formad.engine import AnalysisStats, ArrayVerdict, LoopAnalysis
     stats = AnalysisStats()
     known = set(AnalysisStats.__dataclass_fields__)

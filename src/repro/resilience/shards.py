@@ -12,8 +12,9 @@ one slow region never idles the rest of the pool).
 Division of labor (docs/SCALING.md):
 
 * **Workers** analyze. They never write the parent's journal, trace
-  stream, or verdict cache; each reply carries the journal-shaped
-  records, buffered trace events, and cache metadata of one loop.
+  stream, or verdict cache; each reply carries the question records,
+  the settled ``(done, verdicts)`` pair, buffered trace events, and
+  cache metadata of one loop.
 * **The parent** owns all I/O: it is the single journal writer, the
   single cache writer, and the single trace sink. Each shard's feeder
   thread (named ``shard-<k>`` — the name trace events inherit) applies
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.clock import ClockSync
-from .journal import rebuild_analysis
+from .journal import rebuild_analysis, write_loop
 
 #: Grace period added to a run deadline before the hard kill: the
 #: worker polls its own (tighter) deadline cooperatively, so the
@@ -404,38 +405,35 @@ def _init_request(engine, source: str, head: str,
 
 def _apply_reply(engine, cache, loop, key: str, reply: dict, *,
                  worker_id=None, clock=None, window=None):
-    """Apply one shard reply in the parent: journal its records, store
-    its decided questions (and, if clean, the whole loop) in the
-    verdict cache, re-emit its trace events, and rebuild the
-    :class:`~repro.formad.engine.LoopAnalysis`. Callers hold the
-    scheduler's apply lock, so one loop's records stay contiguous.
+    """Apply one shard reply in the parent: journal its question
+    records and its settled loop, store its decided questions (and, if
+    clean, the whole loop) in the verdict cache, re-emit its trace
+    events, and rebuild the :class:`~repro.formad.engine.LoopAnalysis`.
+    Callers hold the scheduler's apply lock, so one loop's records stay
+    contiguous.
 
-    A structurally broken reply (no ``loop_done``) still folds whatever
+    A structurally broken reply (no settled loop) still folds whatever
     trace events *did* arrive — marked ``partial`` — before raising;
     silently dropping telemetry that made it across the wire hides
     exactly the failures the trace exists to explain."""
     journal = engine._journal
     tracer = engine.tracer
-    done: Optional[dict] = None
-    verdicts: List[dict] = []
-    for item in reply.get("records", []):
-        kind, fields = str(item[0]), dict(item[1])
+    done, verdicts = reply.get("done"), reply.get("verdicts")
+    if not isinstance(done, dict) or not isinstance(verdicts, list):
+        _fold_worker_events(tracer, reply.get("events"),
+                            worker_id=worker_id, clock=clock,
+                            window=window, partial=True)
+        raise WorkerGone("crash", "worker reply missing its settled loop")
+    for fields in reply.get("records", []):
         if journal is not None:
-            journal.record(kind, **fields)
-        if kind == "loop_done":
-            done = fields
-        elif kind == "verdict":
-            verdicts.append(fields)
-        elif kind == "question" and cache is not None:
+            journal.record("question", **fields)
+        if cache is not None:
             cache.store_question(
                 str(fields.get("loop", key)), str(fields.get("array", "")),
                 str(fields.get("ctx", "")), str(fields.get("q", "")),
                 str(fields.get("result", "")), fields.get("witness"))
-    if done is None:
-        _fold_worker_events(tracer, reply.get("events"),
-                            worker_id=worker_id, clock=clock,
-                            window=window, partial=True)
-        raise WorkerGone("crash", "worker reply missing its loop_done record")
+    if journal is not None:
+        write_loop(journal, done, verdicts)
     if cache is not None:
         cache.question_hits += int(reply.get("cache_hits") or 0)
         if reply.get("cacheable"):
@@ -655,58 +653,28 @@ def analyze_sharded(
     return list(slots), list(outcomes)
 
 
-#: Below this many schedulable work items the process pool's spawn and
-#: init cost dominates any GIL win, so ``--backend auto`` stays on
-#: threads (see :func:`resolve_backend`).
+#: Below this many loops the process pool's spawn and init cost
+#: dominates any GIL win, so ``--backend auto`` stays on threads (see
+#: :func:`resolve_backend`).
 AUTO_PROCESS_MIN_ITEMS = 2
 
 
-def resolve_backend(backend: str, *, work_items: int,
+def resolve_backend(backend: str, *, jobs: Optional[int], work_items: int,
                     cpus: Optional[int] = None) -> str:
     """Resolve ``--backend auto`` to ``thread`` or ``process``.
 
-    The process backend only pays off when there are at least
-    :data:`AUTO_PROCESS_MIN_ITEMS` independent work items (loops for
-    ``analyze``, Table-1 problems for ``experiments``) *and*
-    more than one CPU to run them on; otherwise the spawn/init cost of
-    the worker pool buys nothing and ``auto`` picks the thread backend,
-    whose output is byte-identical anyway.
+    The process backend only pays off when ``jobs`` asks for more than
+    one worker, the host has more than one CPU to run them on, and
+    there are at least :data:`AUTO_PROCESS_MIN_ITEMS` loops to share
+    out; otherwise the spawn/init cost of the worker pool buys nothing
+    and ``auto`` picks the thread backend, whose output is
+    byte-identical anyway.
     """
     if backend != "auto":
         return backend
     if cpus is None:
         cpus = os.cpu_count() or 1
-    if cpus <= 1 or work_items < AUTO_PROCESS_MIN_ITEMS:
+    if jobs is None or jobs <= 1 or cpus <= 1 \
+            or work_items < AUTO_PROCESS_MIN_ITEMS:
         return "thread"
     return "process"
-
-
-def analyze_program_remote(
-    source: str,
-    head: str,
-    independents: Sequence[str],
-    dependents: Sequence[str],
-    *,
-    config: Optional[ShardConfig] = None,
-    tracer=None,
-    deadline=None,
-    flags: Optional[dict] = None,
-) -> List:
-    """One whole program analyzed through the shard runtime — the
-    experiments pipeline's process backend. Builds the parent-side
-    engine from *source*, runs :func:`analyze_sharded` over its loops,
-    and returns the analyses (loop order). The Table-1 sweep calls
-    this once per problem from its worker threads, which gives the
-    sweep process-level parallelism across problems."""
-    from ..analysis.activity import ActivityAnalysis
-    from ..formad.engine import FormADEngine
-    from ..ir import parse_program
-    from ..obs.tracer import NULL_TRACER
-
-    proc = parse_program(source)[head]
-    activity = ActivityAnalysis(proc, independents, dependents)
-    engine = FormADEngine(proc, activity, tracer=tracer or NULL_TRACER,
-                          deadline=deadline, **(flags or {}))
-    analyses, _ = analyze_sharded(engine, source, head, independents,
-                                  dependents, config=config)
-    return analyses

@@ -5,11 +5,13 @@ A persistent newline-delimited JSON loop. The parent sends one
 ``init`` request naming the program and engine flags, then any number
 of ``analyze`` requests — one per loop shard pulled from the parent's
 work queue — and finally ``shutdown``. The worker never writes the
-parent's journal, trace stream, or verdict cache: every record the
-engine would journal is buffered by a :class:`_RecordCollector`,
-every trace event by a :class:`~repro.obs.tracer.BufferTracer`, and
-both travel back in the ``analyze`` reply for the parent — the single
-writer — to apply (:mod:`~repro.resilience.shards`). The verdict
+parent's journal, trace stream, or verdict cache: every question
+record the engine would journal is buffered by a
+:class:`_RecordCollector`, every trace event by a
+:class:`~repro.obs.tracer.BufferTracer`, and both travel back in the
+``analyze`` reply, with the settled loop's ``(done, verdicts)`` pair
+(:func:`~repro.resilience.journal.encode_loop`), for the parent — the
+single writer — to apply (:mod:`~repro.resilience.shards`). The verdict
 cache, when configured, is opened **readonly** here: lookups answer
 questions locally, stores are the parent's job.
 
@@ -42,7 +44,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 def _inject_fault(loop_key: str) -> None:
@@ -65,22 +67,22 @@ def _inject_fault(loop_key: str) -> None:
 class _RecordCollector:
     """Journal-writer contract implementation that buffers instead of
     writing: the serve worker's engine journals into one of these, and
-    the buffered ``(kind, fields)`` records ship back to the parent in
-    each reply. ``appending`` is False — this collector never holds
-    prior records, so a settled loop replayed worker-side re-emits its
-    records (the parent then journals them; a duplicate in an
-    append-mode parent journal is idempotent under the resume index).
+    the buffered question records ship back to the parent in each
+    reply. The settled loop's own records are not kept: the reply
+    carries the loop as its ``(done, verdicts)`` pair instead.
+    ``appending`` is False — this collector never holds prior records.
     """
 
     appending = False
 
     def __init__(self) -> None:
-        self.records: List[Tuple[str, dict]] = []
+        self.records: List[dict] = []
 
     def record(self, kind: str, **fields) -> None:
-        self.records.append((kind, fields))
+        if kind == "question":
+            self.records.append(fields)
 
-    def drain(self) -> List[Tuple[str, dict]]:
+    def drain(self) -> List[dict]:
         out = self.records
         self.records = []
         return out
@@ -121,37 +123,12 @@ def _build_engine(request: dict, *, journal, tracer=None):
                         **(request.get("flags") or {}))
 
 
-def serialize_analysis(engine, loop_key: str, analysis) -> dict:
-    """One settled :class:`~repro.formad.engine.LoopAnalysis` as the
-    wire shape ``{"done": ..., "verdicts": [...]}`` that
-    :func:`~repro.resilience.journal.rebuild_analysis` reverses — the
-    per-loop shape of the ``repro serve`` daemon's analyze reply."""
-    from ..formad.engine import AnalysisStats
-
-    stats = {name: getattr(analysis.stats, name)
-             for name in AnalysisStats.__dataclass_fields__}
-    return {
-        "done": {
-            "loop": loop_key,
-            "stats": stats,
-            "safe_writes": list(analysis.safe_write_expressions),
-            "offending": list(analysis.offending_expressions),
-            "degraded": analysis.degraded,
-        },
-        "verdicts": [
-            {"array": v.array, "safe": v.safe,
-             "pairs_total": v.pairs_total, "pairs_proven": v.pairs_proven,
-             "reason": v.reason}
-            for v in analysis.verdicts.values()
-        ],
-    }
-
-
 def serve() -> int:
     """The ``--serve`` request loop (one line in, one line out)."""
     from ..obs.tracer import BufferTracer
     from ..smt.clausify import clausify_cache_clear
     from .deadline import Deadline
+    from .journal import encode_loop
 
     engine = None
     collector: Optional[_RecordCollector] = None
@@ -245,9 +222,12 @@ def serve() -> int:
                    "error": {"type": "PrimalRaceError",
                              "message": str(exc)}})
             continue
+        done, verdicts = encode_loop(loop_key, analysis)
         payload = {
             "loop": loop_key,
             "records": collector.drain(),
+            "done": done,
+            "verdicts": verdicts,
             "cacheable": analysis.cacheable,
             "cache_hits": (cache.question_hits - hits_before
                            if cache is not None else 0),

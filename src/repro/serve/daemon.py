@@ -188,7 +188,7 @@ class AnalysisService:
         from ..ir import parse_program
         from ..resilience.deadline import Deadline
         from ..resilience.escalate import EscalationPolicy
-        from ..resilience.worker import serialize_analysis
+        from ..resilience.journal import encode_loop
         from ..smt.clausify import clausify_cache_clear
 
         source = str(request["source"])
@@ -251,12 +251,10 @@ class AnalysisService:
             loops: List[dict] = []
             for analysis in analyses:
                 key = engine.loop_key(analysis.loop)
-                loops.append(dict(
-                    serialize_analysis(engine, key, analysis), key=key,
-                    cacheable=bool(getattr(analysis, "cacheable",
-                                           False))))
-            clean = bool(analyses) and all(
-                getattr(a, "cacheable", False) for a in analyses)
+                done, verdicts = encode_loop(key, analysis)
+                loops.append({"done": done, "verdicts": verdicts,
+                              "key": key, "cacheable": analysis.cacheable})
+            clean = bool(analyses) and all(a.cacheable for a in analyses)
             served_from = "cold"
             if cache is not None and analyses \
                     and cache.loop_hits == len(analyses):

@@ -100,36 +100,6 @@ class SolverStats:
             else:
                 self.unknown_solver += 1
 
-    #: Fields that combine by summation when two stats records merge.
-    #: Every current field is a monotone counter or accumulated timer,
-    #: so today this names them all — but the declaration is the
-    #: contract: a future gauge/max-style field (say a peak search
-    #: depth) must NOT be blindly summed, and :meth:`merge_into`
-    #: refuses any field missing from this set instead of silently
-    #: corrupting it (tests/smt/test_solver_stats_merge.py keeps the
-    #: declaration in sync with the dataclass).
-    ADDITIVE_FIELDS = frozenset({
-        "checks", "sat", "unsat", "unknown", "theory_checks", "branches",
-        "propagations", "time_seconds", "translate_seconds",
-        "clausify_seconds", "search_seconds", "formulas_translated",
-        "congruence_axioms", "clausify_hits", "clausify_misses",
-        "unknown_timeout", "unknown_budget", "unknown_solver",
-    })
-
-    def merge_into(self, other: "SolverStats") -> None:
-        """Accumulate this solver's counters onto *other*.
-
-        Only fields declared in :data:`ADDITIVE_FIELDS` are summed; an
-        undeclared field is a hard error so that introducing a
-        non-additive statistic forces a conscious merge rule instead of
-        a silently wrong sum."""
-        for name in self.__dataclass_fields__:
-            if name not in self.ADDITIVE_FIELDS:
-                raise TypeError(
-                    f"SolverStats.{name} is not declared additive; teach "
-                    f"merge_into how to combine it before merging")
-            setattr(other, name, getattr(other, name) + getattr(self, name))
-
 
 class _Level:
     """Translated state of one assertion-stack level."""

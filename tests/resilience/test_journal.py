@@ -136,29 +136,6 @@ class TestReadJournal:
         assert [r["kind"] for r in records] == ["question", "verdict"]
 
 
-class TestRotate:
-    def test_rotation_compacts_settled_loops(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        writer = JournalWriter(path, meta=_meta())
-        writer.record("question", loop="0:i", q="a", result="unsat")
-        writer.record("verdict", loop="0:i", array="y", safe=True)
-        writer.record("loop_done", loop="0:i", stats={}, safe_writes=[],
-                      offending=[], degraded=False)
-        writer.record("question", loop="1:j", q="b", result="sat",
-                      witness={"i": 1})
-        writer.rotate()
-        # the writer still works after rotation
-        writer.record("question", loop="1:j", q="c", result="unsat")
-        writer.close()
-        meta, records, dropped = read_journal(path)
-        assert meta is not None and dropped == 0
-        kinds = [(r["kind"], r["loop"]) for r in records]
-        assert ("question", "0:i") not in kinds       # compacted
-        assert ("verdict", "0:i") in kinds
-        assert ("loop_done", "0:i") in kinds
-        assert kinds.count(("question", "1:j")) == 2  # unsettled: kept
-
-
 class TestAppendingContract:
     """``appending`` is a *required* attribute of anything passed as a
     journal: the engine decides whether to re-emit resume-settled loops

@@ -23,8 +23,7 @@ from repro.analysis.activity import ActivityAnalysis
 from repro.formad import FormADEngine, PrimalRaceError
 from repro.ir import parse_program
 from repro.resilience import (JournalWriter, ResumeState, ShardConfig,
-                              VerdictCache, analyze_program_remote,
-                              analyze_sharded)
+                              VerdictCache, analyze_sharded, resolve_backend)
 from repro.resilience.journal import JOURNAL_SCHEMA, journal_fingerprint
 
 SAFE_TWO_LOOPS = """
@@ -101,16 +100,6 @@ class TestShardIdentity:
         sharded, outcomes = _sharded(proc, jobs=1)
         assert [o.status for o in outcomes] == ["ok", "ok"]
         assert not any(a.degraded for a in sharded)
-
-    def test_analyze_program_remote_matches_inline(self):
-        proc = parse_program(SAFE_TWO_LOOPS)["two"]
-        inline = _engine(proc).analyze_all()
-        remote = analyze_program_remote(SAFE_TWO_LOOPS, "two", ["x"],
-                                        ["y", "z"])
-        assert len(remote) == 2
-        for a, b in zip(remote, inline):
-            assert {n: v.safe for n, v in a.verdicts.items()} \
-                == {n: v.safe for n, v in b.verdicts.items()}
 
 
 class TestFaultContainment:
@@ -260,3 +249,29 @@ class TestParentalReplay:
             for name in COUNTERS:
                 assert getattr(again.stats, name) \
                     == getattr(honest.stats, name), name
+
+
+class TestResolveBackend:
+    """``--backend auto`` picks the process pool only when ``--jobs``
+    asks for parallelism, the host has CPUs for it, and there are
+    enough loops to share out."""
+
+    @pytest.mark.parametrize("jobs", [None, 0, 1])
+    def test_serial_runs_stay_on_threads(self, jobs):
+        assert resolve_backend("auto", jobs=jobs, work_items=6,
+                               cpus=4) == "thread"
+
+    def test_parallel_jobs_on_many_cpus_pick_processes(self):
+        assert resolve_backend("auto", jobs=2, work_items=2,
+                               cpus=4) == "process"
+
+    def test_one_cpu_or_one_loop_stays_on_threads(self):
+        assert resolve_backend("auto", jobs=4, work_items=6,
+                               cpus=1) == "thread"
+        assert resolve_backend("auto", jobs=4, work_items=1,
+                               cpus=4) == "thread"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_explicit_backend_is_kept(self, backend):
+        assert resolve_backend(backend, jobs=None, work_items=1,
+                               cpus=1) == backend

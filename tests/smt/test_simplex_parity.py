@@ -1,10 +1,11 @@
 """Pivot-for-pivot parity between the simplex engines.
 
 The vectorized :class:`DenseSimplexSolver` must make *exactly* the same
-Bland's-rule choices as the original :class:`FractionSimplexSolver` —
-same pivot count, same (basic, entering) sequence, same verdict, same
-rational model — on every constraint system the solver test suite
-exercises plus a deterministic randomized sweep. This is what licenses
+Bland's-rule choices as the original :class:`FractionSimplexSolver`
+(``fraction_simplex.py``) — same pivot count, same (basic, entering)
+sequence, same verdict, same rational model — on every constraint
+system the solver test suite exercises plus a deterministic randomized
+sweep. This is what licenses
 swapping the engine under the whole FormAD stack without re-validating
 any verdict.
 """
@@ -16,8 +17,9 @@ import pytest
 
 from repro.smt import Int, canonicalize
 from repro.smt.linform import TrivialConstraint
-from repro.smt.simplex import (DenseSimplexSolver, FractionSimplexSolver,
-                               ResourceError)
+from repro.smt.simplex import DenseSimplexSolver, ResourceError
+
+from .fraction_simplex import FractionSimplexSolver
 
 x, y, z = Int("x"), Int("y"), Int("z")
 

@@ -92,6 +92,17 @@ class TestTangent:
         assert "yd(c(i)) = xd(c(i) + 7)" in out
 
 
+class TestExperiments:
+    def test_backend_option_is_gone(self, monkeypatch):
+        # Table 1 runs in-process only; the stub keeps a regression
+        # from regenerating EXPERIMENTS.md instead of failing fast.
+        monkeypatch.setattr("repro.experiments.report.main",
+                            lambda **kwargs: None)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "--backend", "thread"])
+        assert exc.value.code == 2
+
+
 class TestParseErrors:
     def test_parse_error_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.f90"
